@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race short chaos crash elastic fuzz telemetry-smoke serve-smoke bench blame alloc-gates profile soak soak-short ci
+.PHONY: all build vet test race short chaos crash elastic fuzz telemetry-smoke serve-smoke bench blame alloc-gates profile soak soak-short perfbench-check ci
 
 all: ci
 
@@ -140,4 +140,11 @@ soak:
 soak-short:
 	$(GO) test -race -count=1 -short -run 'TestPipelineSoak|TestPipelineBlameRegression' .
 
-ci: build vet race soak-short telemetry-smoke serve-smoke bench blame crash elastic
+# The benchmark harness is its own module (perfbench/go.mod, pointing at
+# the repo through a replace directive), so `go build ./...` at the root
+# never compiles it. Vet and test it here so an API slip in the root
+# package fails the gate instead of the benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+ci: build vet race soak-short perfbench-check telemetry-smoke serve-smoke bench blame crash elastic

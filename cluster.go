@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 
 	"sdimm/internal/blame"
 	"sdimm/internal/durable"
@@ -1002,8 +1003,9 @@ type SplitCluster struct {
 	shard     int
 	leaves    uint64
 	tm        clusterTelemetry
-	workers   *workerPool // nil: member fan-out runs inline
-	writeBuf  []byte      // Write's zero-padded payload staging
+	workers   *workerPool    // nil: member fan-out runs inline
+	fanout    sync.WaitGroup // tracks the workers' share of the current fan-out
+	writeBuf  []byte         // Write's zero-padded payload staging
 	durableState
 
 	// Fan-out error slots, reused across accesses (and eviction rounds) so
@@ -1146,7 +1148,7 @@ func (c *SplitCluster) Close() {
 // called before reading any state fn wrote.
 func (c *SplitCluster) runMember(i int, fn func()) {
 	if c.workers != nil {
-		c.workers.submit(i, fn)
+		c.workers.submitWG(i, &c.fanout, fn)
 		return
 	}
 	fn()
@@ -1154,11 +1156,7 @@ func (c *SplitCluster) runMember(i int, fn func()) {
 
 // join is the fan-out barrier: after it returns the coordinator observes
 // every write made by runMember closures.
-func (c *SplitCluster) join() {
-	if c.workers != nil {
-		c.workers.barrier()
-	}
-}
+func (c *SplitCluster) join() { c.fanout.Wait() }
 
 // Read returns the payload of addr, reassembled from all shards.
 func (c *SplitCluster) Read(addr uint64) ([]byte, error) {

@@ -132,17 +132,21 @@ func TestNilAndOutOfRange(t *testing.T) {
 
 func TestConcurrentTaps(t *testing.T) {
 	m := New(Options{Members: 4, Window: 128})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(sd int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
+	// Every member taps once per round, concurrently. The rounds keep the
+	// traffic uniform within each 128-frame window whatever order the
+	// scheduler runs the goroutines in; free-running tappers do not, and
+	// were flagged on loaded hosts.
+	for i := 0; i < 1000; i++ {
+		var wg sync.WaitGroup
+		for sd := 0; sd < 4; sd++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
 				m.Tap(sd, fault.HostToDev, 0, frame(64))
-			}
-		}(g)
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	v := m.Verdict()
 	if v.Frames != 4000 {
 		t.Fatalf("frames = %d, want 4000", v.Frames)

@@ -63,15 +63,21 @@ import (
 // submitted to one member execute FIFO in submission order; tasks across
 // members run concurrently, up to the pool's parallelism bound.
 type workerPool struct {
-	tasks []chan func()
+	tasks []chan poolTask
 	sem   chan struct{}
-	wg    sync.WaitGroup
 	once  sync.Once
+}
+
+// poolTask is one queued unit of work and the caller-owned WaitGroup that
+// tracks it.
+type poolTask struct {
+	fn func()
+	wg *sync.WaitGroup
 }
 
 // newWorkerPool starts n workers whose aggregate concurrency is capped at
 // parallelism (values < 1 are clamped to 1). queue bounds how many tasks
-// can be pending per worker before submit blocks.
+// can be pending per worker before submitWG blocks.
 func newWorkerPool(n, parallelism, queue int) *workerPool {
 	if parallelism < 1 {
 		parallelism = 1
@@ -80,16 +86,17 @@ func newWorkerPool(n, parallelism, queue int) *workerPool {
 		queue = 1
 	}
 	p := &workerPool{
-		tasks: make([]chan func(), n),
+		tasks: make([]chan poolTask, n),
 		sem:   make(chan struct{}, parallelism),
 	}
 	for i := range p.tasks {
-		ch := make(chan func(), queue)
+		ch := make(chan poolTask, queue)
 		p.tasks[i] = ch
 		go func() {
-			for fn := range ch {
+			for t := range ch {
 				p.sem <- struct{}{}
-				fn()
+				t.fn()
+				t.wg.Done()
 				<-p.sem
 			}
 		}()
@@ -97,37 +104,19 @@ func newWorkerPool(n, parallelism, queue int) *workerPool {
 	return p
 }
 
-// submit queues fn on member w's worker, tracked by the pool's own
-// WaitGroup. Pair with barrier.
-func (p *workerPool) submit(w int, fn func()) {
-	p.wg.Add(1)
-	p.tasks[w] <- func() {
-		defer p.wg.Done()
-		fn()
-	}
-}
-
 // submitWG queues fn on member w's worker, tracked by a caller-owned
 // WaitGroup — the pipeline uses per-wave groups so two waves can be in
-// flight without sharing a barrier.
+// flight without sharing a barrier. After wg.Wait returns the caller
+// observes every write fn made.
 func (p *workerPool) submitWG(w int, wg *sync.WaitGroup, fn func()) {
 	wg.Add(1)
-	p.tasks[w] <- func() {
-		defer wg.Done()
-		fn()
-	}
+	p.tasks[w] <- poolTask{fn: fn, wg: wg}
 }
 
-// barrier blocks until every submit-tracked task has completed. After
-// barrier returns the coordinator observes all worker writes (the WaitGroup
-// establishes the happens-before edge).
-func (p *workerPool) barrier() { p.wg.Wait() }
-
-// close stops the workers after the submit-tracked tasks drain. Idempotent.
-// Callers using submitWG must wait their own groups before closing.
+// close stops the workers once their queues drain. Idempotent. Callers must
+// wait their own groups first.
 func (p *workerPool) close() {
 	p.once.Do(func() {
-		p.wg.Wait()
 		for _, ch := range p.tasks {
 			close(ch)
 		}
@@ -165,13 +154,13 @@ type PipelineOptions struct {
 	// (default = Window). 1 degenerates to sequential execution of the
 	// exact same logical schedule.
 	Parallelism int
-	// FillTimeout bounds how long the streaming front end (Serve) waits
-	// for more operations before launching a partially filled wave. Without
-	// a bound a trickle of callers stalls behind a window that never fills
-	// — the last ops of a batch would wait indefinitely for peers that
-	// never come. Zero selects DefaultFillTimeout; negative launches
-	// partial waves immediately (no coalescing delay). Do ignores it: a
-	// slice batch is fully known up front.
+	// FillTimeout bounds how long Serve waits for more operations before
+	// launching a partially filled wave. Without a bound a trickle of
+	// callers stalls behind a window that never fills — the last ops of a
+	// batch would wait indefinitely for peers that never come. The wait
+	// only runs with no wave in flight. Zero selects DefaultFillTimeout;
+	// negative launches partial waves immediately (no coalescing delay). Do
+	// never waits: its source is pre-filled and closed.
 	FillTimeout time.Duration
 }
 
@@ -198,11 +187,13 @@ func (o PipelineOptions) withDefaults() PipelineOptions {
 // waves of up to Window independent accesses in flight, fanning whole
 // accessORAM operations out to the owning SDIMMs' workers (the Independent
 // protocol's unit of distribution) and overlapping each wave's APPEND
-// broadcast and journal append with the next wave's ACCESS exchanges.
+// broadcast and journal append with the next wave's ACCESS exchanges. Serve
+// is its one wave loop; Do drives it over a pre-filled, closed source. Both
+// answer ops in arrival order.
 //
 // The pipeline owns the cluster's request stream while in use: do not call
-// Read/Write on the underlying Cluster concurrently with Do. Close stops
-// the workers.
+// Read/Write on the underlying Cluster concurrently with Do or Serve. Close
+// stops the workers.
 type Pipeline struct {
 	c    *Cluster
 	opts PipelineOptions
@@ -307,7 +298,7 @@ func (p *Pipeline) releaseWave(w *waveState) {
 // arrays so steady-state waves reuse them. out is the exception — it is
 // handed to the caller in a BatchResult and never pooled.
 type pipeOp struct {
-	idx     int // index into the submitted batch
+	done    chan<- BatchResult // the submitter's answer channel
 	addr    uint64
 	op      oram.Op
 	migrate bool   // rebalance migration step (journals as KindMigrate)
@@ -401,57 +392,118 @@ func (p *Pipeline) pickLeafSnap(globalLeaves uint64) (uint64, error) {
 		len(p.healthSnap), globalLeaves)
 }
 
-// Do executes ops through the pipeline and returns one result per op, in
-// order. Semantics match issuing the same operations through Read/Write one
-// at a time, with one deliberate difference: accesses in the same wave
-// observe the position map and health state as of the wave's start. A wave
-// never schedules an address that appears in the wave still in flight or
-// earlier in itself (the schedule breaks there), so per-address read/write
-// ordering is preserved exactly.
+// AsyncOp is one operation submitted to the pipeline's wave loop (Serve):
+// the op plus a buffered channel that receives exactly one result when the
+// op retires. Every submitted op is answered — delivered, failed, or
+// failed-on-crash — before Serve returns, and answers are sent in arrival
+// order, so AsyncOps may share one Done channel of sufficient capacity.
+type AsyncOp struct {
+	Op   BatchOp
+	Done chan BatchResult
+}
+
+// NewAsyncOp wraps op with a result channel sized so the pipeline never
+// blocks on delivery.
+func NewAsyncOp(op BatchOp) *AsyncOp {
+	return &AsyncOp{Op: op, Done: make(chan BatchResult, 1)}
+}
+
+// Serve is the pipeline's wave loop: it pulls individually submitted
+// operations from in, coalesces them into waves of up to Window, and
+// overlaps wave N+1's ACCESS exchanges with wave N's APPEND broadcast and
+// journal append. A wave launches as soon as it is full, the moment in
+// closes, or after FillTimeout with whatever has arrived — a partially
+// filled wave never waits indefinitely for callers that never come. The
+// fill wait only ever runs with no wave in flight: a partial window found
+// while a wave is in flight retires that wave first, so a finished wave's
+// answers never wait on stragglers for the next one.
 //
-// Each loop iteration launches at most one new wave and retires the
-// previous one; the previous wave's APPEND broadcast and journal append
-// overlap the new wave's ACCESS exchanges. Checkpoints run only at fully
-// drained points, so the checkpoint cadence (in committed-access terms) is
-// identical to the sequential path's.
-func (p *Pipeline) Do(ops []BatchOp) []BatchResult {
+// Semantics match issuing the same operations through Read/Write one at a
+// time, in arrival order, with one deliberate difference: accesses in the
+// same wave observe the position map and health state as of the wave's
+// start. A wave never schedules an address that appears in the wave still
+// in flight or earlier in itself (the schedule breaks there), so
+// per-address read/write ordering is preserved exactly. Checkpoints run
+// only at fully drained points, so the checkpoint cadence (in
+// committed-access terms) is identical to the sequential path's.
+//
+// Serve owns the cluster's request stream while running: do not call Do,
+// Read, or Write concurrently. It returns only after in is closed and every
+// submitted op has been answered, in arrival order. After a crash (planned
+// crash point or journal failure) remaining and subsequent ops fail with
+// the crash error, preserving the write-ahead contract.
+func (p *Pipeline) Serve(in <-chan *AsyncOp) {
 	c := p.c
-	res := make([]BatchResult, len(ops))
 	globalLeaves := uint64(1) << (c.levels - 1)
 	p.snapshotHealth()
 
-	var prev *waveState
-	start := 0
-	for start < len(ops) || prev != nil {
+	var (
+		buf    = make([]*AsyncOp, 0, p.opts.Window) // admitted, not yet scheduled (arrival order)
+		prev   *waveState
+		closed bool
+	)
+	timer := time.NewTimer(time.Hour)
+	stopFillTimer(timer)
+
+	// bail fails everything still buffered or yet to arrive, returning once
+	// in closes. Called after prev is fully retired.
+	bail := func(err error) {
+		for _, a := range buf {
+			a.Done <- BatchResult{Err: err}
+		}
+		if !closed {
+			for a := range in {
+				a.Done <- BatchResult{Err: err}
+			}
+		}
+	}
+
+	for {
+		if !closed && len(buf) < p.opts.Window {
+			if prev != nil {
+				// Retirement work is pending: take only what has arrived.
+				buf, closed = p.drain(in, buf)
+			} else {
+				buf, closed = p.fillBuf(in, buf, timer)
+			}
+		}
+		if len(buf) == 0 && prev == nil {
+			return // fillBuf only comes back empty once in is closed
+		}
+
 		// Observability taps: nil-safe no-ops without a blame collector or
 		// flight recorder attached; neither draws randomness nor feeds state
 		// back, so attaching them cannot perturb the wave schedule or the
 		// bitwise-equivalence guarantee.
 		bw := c.blame.BeginWave()
-
 		if c.crashedNow() {
 			// The cluster died at a planned crash point. Retire the in-flight
 			// wave first — its journal outcome decides its results — then fail
 			// everything not yet scheduled.
 			if prev != nil {
-				p.retire(prev, res, bw)
-				prev = nil
-			}
-			for i := start; i < len(ops); i++ {
-				res[i] = BatchResult{Err: durable.ErrCrashed}
+				p.retire(prev, bw)
+			} else {
+				bw.Mark(blame.PhaseSchedule)
+				bw.Mark(blame.PhaseRetireWait)
+				bw.Mark(blame.PhaseFinalize)
 			}
 			bw.End(0)
-			return res
+			bail(durable.ErrCrashed)
+			return
 		}
 
 		// Checkpoint gate: when a checkpoint is due the pipeline stalls the
 		// schedule and drains, so the checkpoint captures a quiescent image at
 		// the same committed-sequence boundary the sequential path would.
 		ckptDue := c.checkpointDue()
+		// Retire-first: a partial window that would wait for stragglers is
+		// not scheduled behind a wave in flight; that wave retires this
+		// iteration and the next fills with nothing in flight.
+		partial := !closed && len(buf) < p.opts.Window && p.opts.FillTimeout >= 0
 
 		var w *waveState
-		if start < len(ops) && !ckptDue {
-			w = p.scheduleWave(ops, start, prev, globalLeaves)
+		if len(buf) > 0 && !ckptDue && (prev == nil || !partial) {
+			w = p.scheduleWave(buf, prev, globalLeaves)
 			if w != nil {
 				p.dispatchAccess(w)
 			}
@@ -459,7 +511,7 @@ func (p *Pipeline) Do(ops []BatchOp) []BatchResult {
 		bw.Mark(blame.PhaseSchedule)
 
 		if prev != nil {
-			p.retire(prev, res, bw)
+			p.retire(prev, bw)
 			prev = nil
 		} else {
 			bw.Mark(blame.PhaseRetireWait)
@@ -473,28 +525,28 @@ func (p *Pipeline) Do(ops []BatchOp) []BatchResult {
 			// Quiescent point: the previous wave is fully retired and this
 			// wave's ACCESS tasks have drained — no worker task is in flight.
 			p.snapshotHealth()
+			buf = append(buf[:0], buf[w.n:]...)
 			if c.crashedNow() {
-				// The previous wave's journal goroutine hit the crash point
+				// The retired wave's journal goroutine hit the crash point
 				// while this wave's exchanges ran. Nothing of this wave may
-				// commit; results keep any per-op exchange error (so they match
+				// commit; answers keep any per-op exchange error (so they match
 				// the race-free outcome) and report the crash otherwise.
 				for _, po := range w.ops {
 					if po.err == nil {
 						po.err = durable.ErrCrashed
 					}
-					res[po.idx] = BatchResult{Err: po.err}
+					po.done <- po.result()
 				}
-				start += w.n
 				p.releaseWave(w)
 				bw.End(0)
-				continue
+				bail(durable.ErrCrashed)
+				return
 			}
 			p.commit(w)
 			bw.Mark(blame.PhaseCommit)
 			p.dispatchAppend(w)
 			p.spawnJournal(w)
 			c.flight.Coordinator().Record(flight.KindPhase, uint64(blame.PhaseDispatch), w.waveID)
-			start += w.n
 			launched = w.n
 			prev = w
 			bw.Mark(blame.PhaseDispatch)
@@ -508,14 +560,32 @@ func (p *Pipeline) Do(ops []BatchOp) []BatchResult {
 			err := c.ForceCheckpoint()
 			bw.Mark(blame.PhaseCheckpoint)
 			if err != nil {
-				for i := start; i < len(ops); i++ {
-					res[i] = BatchResult{Err: err}
-				}
 				bw.End(0)
-				return res
+				bail(err)
+				return
 			}
 		}
 		bw.End(launched)
+	}
+}
+
+// Do executes ops through the wave loop and returns one result per op, in
+// order, with Serve's semantics. The source is pre-filled and closed, so
+// every window is full or final and Do never waits on the fill timeout; all
+// ops share one Done channel, read back in arrival order.
+func (p *Pipeline) Do(ops []BatchOp) []BatchResult {
+	in := make(chan *AsyncOp, len(ops))
+	done := make(chan BatchResult, len(ops))
+	acks := make([]AsyncOp, len(ops))
+	for i, op := range ops {
+		acks[i] = AsyncOp{Op: op, Done: done}
+		in <- &acks[i]
+	}
+	close(in)
+	p.Serve(in)
+	res := make([]BatchResult, len(ops))
+	for i := range res {
+		res[i] = <-done
 	}
 	return res
 }
@@ -526,10 +596,13 @@ func (p *Pipeline) Do(ops []BatchOp) []BatchResult {
 // conflicts with the in-flight wave — the caller retires it and retries, so
 // progress is guaranteed (with no wave in flight the first op never
 // conflicts).
-func (p *Pipeline) scheduleWave(ops []BatchOp, start int, prev *waveState, globalLeaves uint64) *waveState {
+func (p *Pipeline) scheduleWave(buf []*AsyncOp, prev *waveState, globalLeaves uint64) *waveState {
 	w := p.takeWave()
-	for i := start; i < len(ops) && len(w.ops) < p.opts.Window; i++ {
-		a := ops[i].Addr
+	for _, ao := range buf {
+		if len(w.ops) == p.opts.Window {
+			break
+		}
+		a := ao.Op.Addr
 		if w.addrs[a] || (prev != nil && prev.addrs[a]) {
 			// The next op must observe the earlier access's commit — and for
 			// the in-flight wave, its append landing and any re-home — so the
@@ -537,7 +610,7 @@ func (p *Pipeline) scheduleWave(ops []BatchOp, start int, prev *waveState, globa
 			break
 		}
 		w.addrs[a] = true
-		w.ops = append(w.ops, p.schedule(ops[i], i, globalLeaves))
+		w.ops = append(w.ops, p.schedule(ao, globalLeaves))
 	}
 	w.n = len(w.ops)
 	if w.n == 0 {
@@ -551,10 +624,11 @@ func (p *Pipeline) scheduleWave(ops []BatchOp, start int, prev *waveState, globa
 
 // schedule prepares one access: position lookup and every shared-RNG draw,
 // in logical order on the coordinator. Health reads go through the snapshot.
-func (p *Pipeline) schedule(op BatchOp, idx int, globalLeaves uint64) *pipeOp {
+func (p *Pipeline) schedule(ao *AsyncOp, globalLeaves uint64) *pipeOp {
 	c := p.c
+	op := ao.Op
 	po := p.takeOp()
-	po.idx, po.addr, po.op = idx, op.Addr, oram.OpRead
+	po.done, po.addr, po.op = ao.Done, op.Addr, oram.OpRead
 	po.migrate = op.Migrate
 	if op.Write {
 		if op.Migrate {
@@ -762,8 +836,8 @@ func (p *Pipeline) spawnJournal(w *waveState) {
 
 // retire completes a dispatched wave: waits out its APPEND broadcast and
 // journal append, resolves append outcomes (lost-append accounting,
-// re-homing, malformed acks), and delivers results.
-func (p *Pipeline) retire(w *waveState, res []BatchResult, bw *blame.Wave) {
+// re-homing, malformed acks), and answers its ops in logical order.
+func (p *Pipeline) retire(w *waveState, bw *blame.Wave) {
 	c := p.c
 	w.wgB.Wait()
 	var jerr error
@@ -786,7 +860,7 @@ func (p *Pipeline) retire(w *waveState, res []BatchResult, bw *blame.Wave) {
 	}
 	globalLeaves := uint64(1) << (c.levels - 1)
 	for _, po := range w.ops {
-		p.finalize(po, globalLeaves, res)
+		p.finalize(po, globalLeaves)
 	}
 	if w.traceEnd != nil {
 		if jerr != nil {
@@ -797,14 +871,20 @@ func (p *Pipeline) retire(w *waveState, res []BatchResult, bw *blame.Wave) {
 		c.tm.tracer.FreeLane(w.traceLane)
 	}
 	c.flight.Coordinator().Record(flight.KindPhase, uint64(blame.PhaseFinalize), w.waveID)
+	// Answer last, once the wave's telemetry, trace and flight records are
+	// written: a caller holding an answer observes them all. Done channels
+	// are buffered, so answering never blocks the coordinator.
+	for _, po := range w.ops {
+		po.done <- po.result()
+	}
 	p.releaseWave(w)
 	bw.Mark(blame.PhaseFinalize)
 }
 
 // finalize resolves one access at retirement: lost-append accounting,
-// re-homing, malformed-ack detection, the poison veto, payload delivery,
-// and the cluster.* observation.
-func (p *Pipeline) finalize(po *pipeOp, globalLeaves uint64, res []BatchResult) {
+// re-homing, malformed-ack detection, the poison veto, and the cluster.*
+// observation.
+func (p *Pipeline) finalize(po *pipeOp, globalLeaves uint64) {
 	c := p.c
 	if po.err == nil {
 		for j := range c.buffers {
@@ -836,10 +916,6 @@ func (p *Pipeline) finalize(po *pipeOp, globalLeaves uint64, res []BatchResult) 
 		po.err = fmt.Errorf("sdimm: read %d: %w", po.addr, ErrUnrecoverable)
 	}
 
-	out := BatchResult{Err: po.err}
-	if po.err == nil && po.op == oram.OpRead && !po.migrate {
-		out.Data = po.out
-	}
 	// Migration steps are accounted under cluster.migrations, not the
 	// workload access counters — same split as the sequential DrainStep.
 	if po.migrate {
@@ -849,7 +925,14 @@ func (p *Pipeline) finalize(po *pipeOp, globalLeaves uint64, res []BatchResult) 
 	} else {
 		c.tm.observe(po.op, po.err)
 	}
-	res[po.idx] = out
+}
+
+// result is the op's answer: its error, or the payload of a delivered read.
+func (po *pipeOp) result() BatchResult {
+	if po.err == nil && po.op == oram.OpRead && !po.migrate {
+		return BatchResult{Data: po.out}
+	}
+	return BatchResult{Err: po.err}
 }
 
 // rehomePooled re-homes an in-flight real block whose APPEND exchange was
@@ -907,207 +990,9 @@ func (p *Pipeline) rehomePooled(addr uint64, blk oram.Block, exclude int, global
 	return fmt.Errorf("sdimm: re-homing block %d failed: %w", addr, lastErr)
 }
 
-// AsyncOp is one operation submitted to the streaming pipeline front
-// (Serve): the op plus a buffered channel that receives exactly one result
-// when the op retires. Every submitted op is answered — delivered, failed,
-// or failed-on-crash — before Serve returns.
-type AsyncOp struct {
-	Op   BatchOp
-	Done chan BatchResult
-}
-
-// NewAsyncOp wraps op with a result channel sized so the pipeline never
-// blocks on delivery.
-func NewAsyncOp(op BatchOp) *AsyncOp {
-	return &AsyncOp{Op: op, Done: make(chan BatchResult, 1)}
-}
-
-// liveWave is one Serve wave in flight: the engine state plus the submitted
-// ops awaiting its results.
-type liveWave struct {
-	w    *waveState
-	acks []*AsyncOp
-	res  []BatchResult
-}
-
-// Serve is the pipeline's streaming front end: it pulls individually
-// submitted operations from in, coalesces them into waves of up to Window,
-// and drives the same schedule/dispatch/retire machinery as Do — wave N+1's
-// ACCESS exchanges still overlap wave N's APPEND broadcast and journal
-// append. A wave launches as soon as it is full, the moment in closes, or
-// after FillTimeout with whatever has arrived — a partially filled wave
-// never waits indefinitely for callers that never come.
-//
-// Serve owns the cluster's request stream while running: do not call Do,
-// Read, or Write concurrently. It returns only after in is closed and every
-// submitted op has received its result; after a crash (planned crash point
-// or journal failure) remaining and subsequent ops fail with the crash
-// error, preserving the write-ahead contract exactly as Do does. Ordering:
-// ops are scheduled in arrival order, and two in-flight ops never share an
-// address (the wave schedule breaks on conflicts), so per-address semantics
-// match submitting them one at a time.
-func (p *Pipeline) Serve(in <-chan *AsyncOp) {
-	c := p.c
-	globalLeaves := uint64(1) << (c.levels - 1)
-	p.snapshotHealth()
-
-	var (
-		buf    []*AsyncOp // admitted, not yet scheduled (arrival order)
-		opsBuf []BatchOp  // schedule scratch, rebuilt from buf each wave
-		prev   *liveWave
-		closed bool
-	)
-	timer := time.NewTimer(time.Hour)
-	stopFillTimer(timer)
-
-	// bail fails everything still buffered or arriving and returns. Called
-	// after prev is fully retired.
-	bail := func(err error) {
-		for _, a := range buf {
-			a.Done <- BatchResult{Err: err}
-		}
-		buf = buf[:0]
-		if !closed {
-			for a := range in {
-				a.Done <- BatchResult{Err: err}
-			}
-		}
-	}
-
-	for {
-		if !closed && len(buf) < p.opts.Window {
-			// Block for the first op only when the pipeline is idle —
-			// with a wave in flight there is retirement work to do even if
-			// no new ops arrive.
-			buf, closed = p.fillBuf(in, buf, len(buf) == 0 && prev == nil, timer)
-		}
-		if len(buf) == 0 && prev == nil {
-			if closed {
-				return
-			}
-			continue
-		}
-
-		bw := c.blame.BeginWave()
-		if c.crashedNow() {
-			if prev != nil {
-				p.retire(prev.w, prev.res, bw)
-				deliverWave(prev)
-				prev = nil
-			} else {
-				bw.Mark(blame.PhaseSchedule)
-				bw.Mark(blame.PhaseRetireWait)
-				bw.Mark(blame.PhaseFinalize)
-			}
-			bw.End(0)
-			bail(durable.ErrCrashed)
-			return
-		}
-
-		ckptDue := c.checkpointDue()
-		var lw *liveWave
-		if len(buf) > 0 && !ckptDue {
-			opsBuf = opsBuf[:0]
-			for _, a := range buf {
-				opsBuf = append(opsBuf, a.Op)
-			}
-			var pw *waveState
-			if prev != nil {
-				pw = prev.w
-			}
-			if w := p.scheduleWave(opsBuf, 0, pw, globalLeaves); w != nil {
-				p.dispatchAccess(w)
-				lw = &liveWave{
-					w:    w,
-					acks: append([]*AsyncOp(nil), buf[:w.n]...),
-					res:  make([]BatchResult, w.n),
-				}
-			}
-		}
-		bw.Mark(blame.PhaseSchedule)
-
-		if prev != nil {
-			p.retire(prev.w, prev.res, bw)
-			deliverWave(prev)
-			prev = nil
-		} else {
-			bw.Mark(blame.PhaseRetireWait)
-			bw.Mark(blame.PhaseFinalize)
-		}
-
-		launched := 0
-		if lw != nil {
-			w := lw.w
-			w.wgA.Wait()
-			bw.Mark(blame.PhaseAccessWait)
-			// Quiescent point, exactly as in Do.
-			p.snapshotHealth()
-			if c.crashedNow() {
-				// The retired wave's journal goroutine hit the crash point
-				// while this wave's exchanges ran: nothing of this wave may
-				// commit.
-				for _, po := range w.ops {
-					if po.err == nil {
-						po.err = durable.ErrCrashed
-					}
-					lw.res[po.idx] = BatchResult{Err: po.err}
-				}
-				deliverWave(lw)
-				buf = buf[w.n:]
-				p.releaseWave(w)
-				bw.End(0)
-				bail(durable.ErrCrashed)
-				return
-			}
-			p.commit(w)
-			bw.Mark(blame.PhaseCommit)
-			p.dispatchAppend(w)
-			p.spawnJournal(w)
-			c.flight.Coordinator().Record(flight.KindPhase, uint64(blame.PhaseDispatch), w.waveID)
-			buf = buf[w.n:]
-			launched = w.n
-			prev = lw
-			bw.Mark(blame.PhaseDispatch)
-		} else if ckptDue {
-			// Fully drained (prev retired above, nothing launched): capture
-			// the checkpoint at the same committed-sequence boundary the
-			// sequential path would.
-			bw.Mark(blame.PhaseAccessWait)
-			bw.Mark(blame.PhaseCommit)
-			bw.Mark(blame.PhaseDispatch)
-			err := c.ForceCheckpoint()
-			bw.Mark(blame.PhaseCheckpoint)
-			if err != nil {
-				bw.End(0)
-				bail(err)
-				return
-			}
-		}
-		bw.End(launched)
-	}
-}
-
-// deliverWave hands a retired wave's results to their submitters. Done
-// channels are buffered, so delivery never blocks the coordinator.
-func deliverWave(lw *liveWave) {
-	for i, a := range lw.acks {
-		a.Done <- lw.res[i]
-	}
-}
-
-// fillBuf admits ops from in until the window is full, the fill timeout
-// lapses, or the channel closes. With block set it waits indefinitely for
-// the first op (the pipeline is idle). It returns the updated buffer and
-// whether in is closed.
-func (p *Pipeline) fillBuf(in <-chan *AsyncOp, buf []*AsyncOp, block bool, timer *time.Timer) ([]*AsyncOp, bool) {
-	if block && len(buf) == 0 {
-		a, ok := <-in
-		if !ok {
-			return buf, true
-		}
-		buf = append(buf, a)
-	}
-	// Non-blocking drain: whatever is already queued joins the wave.
+// drain admits whatever is already queued on in, up to the window, without
+// blocking. It returns the updated buffer and whether in is closed.
+func (p *Pipeline) drain(in <-chan *AsyncOp, buf []*AsyncOp) ([]*AsyncOp, bool) {
 	for len(buf) < p.opts.Window {
 		select {
 		case a, ok := <-in:
@@ -1115,15 +1000,29 @@ func (p *Pipeline) fillBuf(in <-chan *AsyncOp, buf []*AsyncOp, block bool, timer
 				return buf, true
 			}
 			buf = append(buf, a)
-			continue
 		default:
+			return buf, false
 		}
-		break
 	}
-	if len(buf) == 0 || len(buf) >= p.opts.Window || p.opts.FillTimeout < 0 {
-		return buf, false
+	return buf, false
+}
+
+// fillBuf fills the window with no wave in flight: it waits indefinitely
+// for a first op, drains whatever is already queued, then waits out the
+// fill timeout for stragglers while the window stays partial. It returns
+// the updated buffer and whether in is closed.
+func (p *Pipeline) fillBuf(in <-chan *AsyncOp, buf []*AsyncOp, timer *time.Timer) ([]*AsyncOp, bool) {
+	if len(buf) == 0 {
+		a, ok := <-in
+		if !ok {
+			return buf, true
+		}
+		buf = append(buf, a)
 	}
-	// Partially filled: wait out the fill timeout for stragglers.
+	buf, closed := p.drain(in, buf)
+	if closed || len(buf) >= p.opts.Window || p.opts.FillTimeout < 0 {
+		return buf, closed
+	}
 	timer.Reset(p.opts.FillTimeout)
 	for len(buf) < p.opts.Window {
 		select {

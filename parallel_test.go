@@ -20,18 +20,19 @@ func TestWorkerPoolFIFOPerWorker(t *testing.T) {
 	p := newWorkerPool(3, 8, 16)
 	defer p.close()
 	var mu sync.Mutex
+	var wg sync.WaitGroup
 	got := make([][]int, 3)
 	for round := 0; round < 50; round++ {
 		for w := 0; w < 3; w++ {
 			w, round := w, round
-			p.submit(w, func() {
+			p.submitWG(w, &wg, func() {
 				mu.Lock()
 				got[w] = append(got[w], round)
 				mu.Unlock()
 			})
 		}
 	}
-	p.barrier()
+	wg.Wait()
 	for w := 0; w < 3; w++ {
 		for i, v := range got[w] {
 			if v != i {
@@ -47,9 +48,10 @@ func TestWorkerPoolParallelismOne(t *testing.T) {
 	defer p.close()
 	var active, maxActive int
 	var mu sync.Mutex
+	var wg sync.WaitGroup
 	for i := 0; i < 40; i++ {
 		w := i % 4
-		p.submit(w, func() {
+		p.submitWG(w, &wg, func() {
 			mu.Lock()
 			active++
 			if active > maxActive {
@@ -61,7 +63,7 @@ func TestWorkerPoolParallelismOne(t *testing.T) {
 			mu.Unlock()
 		})
 	}
-	p.barrier()
+	wg.Wait()
 	if maxActive != 1 {
 		t.Fatalf("parallelism 1 pool had %d overlapping tasks", maxActive)
 	}
@@ -70,8 +72,9 @@ func TestWorkerPoolParallelismOne(t *testing.T) {
 func TestWorkerPoolCloseIdempotent(t *testing.T) {
 	p := newWorkerPool(2, 2, 2)
 	n := 0
-	p.submit(0, func() { n++ })
-	p.barrier()
+	var wg sync.WaitGroup
+	p.submitWG(0, &wg, func() { n++ })
+	wg.Wait()
 	p.close()
 	p.close() // second close must not panic
 	if n != 1 {

@@ -1,13 +1,17 @@
 package sdimm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sdimm/internal/durable"
+	"sdimm/internal/fault"
+	"sdimm/internal/rng"
 	"sdimm/internal/telemetry"
 )
 
@@ -196,4 +200,157 @@ func TestPipelineServeCrashFailsPending(t *testing.T) {
 	}
 	close(in)
 	done.Wait()
+}
+
+// TestPipelineServeFillWaitHoldsNoAnswers is the fill-hold regression test:
+// an op arriving while an earlier wave is in flight must not hold that
+// wave's answers behind the fill timeout. The second op is pushed into the
+// channel from the link tap, on the first op's first frame, so it is queued
+// before the first wave retires; the first answer must follow within a
+// small fraction of the (deliberately long) fill timeout.
+func TestPipelineServeFillWaitHoldsNoAnswers(t *testing.T) {
+	const fill = 300 * time.Millisecond
+	in := make(chan *AsyncOp, 4)
+	second := NewAsyncOp(BatchOp{Addr: 2, Write: true, Data: []byte("second")})
+	arrived := make(chan time.Time, 1)
+	var armed atomic.Bool
+	c, err := NewCluster(ClusterOptions{
+		SDIMMs: 4, Levels: 10, Key: []byte("serve-key"), Seed: 23,
+		LinkTap: func(int, fault.Direction, int, []byte) {
+			if armed.CompareAndSwap(true, false) {
+				arrived <- time.Now()
+				in <- second
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := c.Pipeline(PipelineOptions{Window: 8, FillTimeout: fill})
+	defer p.Close()
+	var done sync.WaitGroup
+	done.Add(1)
+	go func() {
+		defer done.Done()
+		p.Serve(in)
+	}()
+	defer func() {
+		close(in)
+		done.Wait()
+	}()
+
+	first := NewAsyncOp(BatchOp{Addr: 1, Write: true, Data: []byte("first")})
+	armed.Store(true)
+	in <- first
+	if r := <-first.Done; r.Err != nil {
+		t.Fatalf("first op: %v", r.Err)
+	}
+	if hold := time.Since(<-arrived); hold > fill/3 {
+		t.Fatalf("first op answered %v after the second arrived: held behind the %v fill wait", hold, fill)
+	}
+	if r := <-second.Done; r.Err != nil {
+		t.Fatalf("second op: %v", r.Err)
+	}
+}
+
+// TestPipelineServeAnswersInArrivalOrder pins the contract Do relies on:
+// Serve answers ops in exactly their arrival order, so ops may share one
+// Done channel. One producer streams a seeded mix — reads, writes, oversize
+// writes that fail at scheduling, repeated addresses — at Windows 1..8,
+// pausing now and then so partial windows and fill-timer fires interleave
+// with full ones. Every answer must match a per-address model of the same
+// sequence. With a planned crash, every answer from the first crash error
+// on must be a failure and every answer before it must still match.
+func TestPipelineServeAnswersInArrivalOrder(t *testing.T) {
+	const n = 240
+	for _, crash := range []bool{false, true} {
+		for window := 1; window <= 8; window++ {
+			t.Run(fmt.Sprintf("crash=%v/window=%d", crash, window), func(t *testing.T) {
+				opts := ClusterOptions{
+					SDIMMs: 4, Levels: 10, Key: []byte("order-key"), Seed: uint64(window),
+				}
+				if crash {
+					opts.Durability = &DurabilityOptions{Dir: t.TempDir(), Interval: 32}
+				}
+				c, err := NewCluster(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				if crash {
+					if err := c.PlanCrash(60+11*window, 5); err != nil {
+						t.Fatal(err)
+					}
+				}
+				bs := c.BlockSize()
+
+				r := rng.Stream(uint64(window), "serve-arrival-order", 0)
+				ops := make([]BatchOp, n)
+				want := make([]BatchResult, n)
+				model := map[uint64][]byte{}
+				for i := range ops {
+					addr := r.Uint64n(12)
+					if i > 0 && r.Bool(0.25) {
+						addr = ops[i-1].Addr // repeat: the wave must break here
+					}
+					ops[i] = BatchOp{Addr: addr}
+					switch k := r.Intn(10); {
+					case k == 0:
+						ops[i].Write, ops[i].Data = true, make([]byte, bs+1)
+						want[i].Err = errors.New("oversize")
+					case k < 5:
+						ops[i].Write, ops[i].Data = true, []byte(fmt.Sprintf("w%d-op%d", window, i))
+						blk := make([]byte, bs)
+						copy(blk, ops[i].Data)
+						model[addr] = blk
+					default:
+						want[i].Data = model[addr]
+						if want[i].Data == nil {
+							want[i].Data = make([]byte, bs)
+						}
+					}
+				}
+
+				p := c.Pipeline(PipelineOptions{Window: window, FillTimeout: 50 * time.Microsecond})
+				defer p.Close()
+				in := make(chan *AsyncOp, 2*window)
+				answers := make(chan BatchResult, n)
+				go func() {
+					pace := rng.Stream(uint64(window), "serve-arrival-pace", 0)
+					for _, op := range ops {
+						in <- &AsyncOp{Op: op, Done: answers}
+						if pace.Bool(0.05) {
+							time.Sleep(100 * time.Microsecond)
+						}
+					}
+					close(in)
+				}()
+				p.Serve(in)
+
+				crashedAt := -1
+				for i := range ops {
+					got := <-answers
+					if crashedAt < 0 && errors.Is(got.Err, durable.ErrCrashed) {
+						crashedAt = i
+					}
+					if crashedAt >= 0 {
+						if got.Err == nil {
+							t.Fatalf("op %d answered OK after the crash answer at op %d", i, crashedAt)
+						}
+						continue
+					}
+					if (got.Err != nil) != (want[i].Err != nil) {
+						t.Fatalf("op %d (%+v): err %v, want error %v", i, ops[i].Addr, got.Err, want[i].Err != nil)
+					}
+					if !bytes.Equal(got.Data, want[i].Data) {
+						t.Fatalf("op %d (addr %d): answer out of order: got %.12q want %.12q",
+							i, ops[i].Addr, got.Data, want[i].Data)
+					}
+				}
+				if crash != (crashedAt >= 0) {
+					t.Fatalf("crash planned %v, crash answer at op %d", crash, crashedAt)
+				}
+			})
+		}
+	}
 }
