@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race short chaos crash elastic fuzz telemetry-smoke serve-smoke bench blame alloc-gates profile soak soak-short perfbench-check ci
+.PHONY: all build vet fmt-check test race short chaos crash elastic fuzz telemetry-smoke serve-smoke bench blame alloc-gates profile soak soak-short perfbench-check ci
 
 all: ci
 
@@ -11,6 +11,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file in the tree must be gofmt-clean; the target lists the
+# offenders and fails if there are any.
+fmt-check:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -89,9 +94,10 @@ blame:
 	$(GO) run ./cmd/sdimm-bench -exp blame -blame-out BENCH_blame.json
 
 # Allocation-regression gates for the steady-state access loop: seal/open,
-# Engine.Access, and the journal commit must stay at 0 allocs/op. These run
-# without -race on purpose — race instrumentation allocates, so the gate
-# tests skip themselves under it (see internal/raceflag).
+# Engine.Access, the journal commit and the checkpoint encode must stay at
+# 0 allocs/op. These run without -race on purpose — race instrumentation
+# allocates, so the gate tests skip themselves under it (see
+# internal/raceflag).
 alloc-gates:
 	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/seccomm ./internal/oram ./internal/durable
 
@@ -147,4 +153,4 @@ soak-short:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-ci: build vet race soak-short perfbench-check telemetry-smoke serve-smoke bench blame crash elastic
+ci: build vet fmt-check race soak-short perfbench-check telemetry-smoke serve-smoke bench blame crash elastic

@@ -365,3 +365,36 @@ func BenchmarkAblation_DDR4(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkForceCheckpoint times one periodic checkpoint at the sdimm-serve
+// default shape (4 SDIMMs, 12 levels, 128 B blocks) with ring eviction
+// A=4: capture from the stores, encode, HMAC, write, journal rotation and
+// prune, with fsync off as sdimm-serve runs it. The tree is filled first so
+// every bucket the workload can touch is materialized.
+func BenchmarkForceCheckpoint(b *testing.B) {
+	c, err := NewCluster(ClusterOptions{SDIMMs: 4, Levels: 12, BlockSize: 128, RingFlushInterval: 4, Seed: 1,
+		Durability: &DurabilityOptions{Dir: b.TempDir(), Interval: 1 << 30}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	pipe := c.Pipeline(PipelineOptions{Window: 8})
+	ops := make([]BatchOp, 4096)
+	payload := make([]byte, 128)
+	for i := range ops {
+		ops[i] = BatchOp{Addr: uint64(i % 1024), Write: true, Data: payload}
+	}
+	for _, r := range pipe.Do(ops) {
+		if r.Err != nil {
+			b.Fatal(r.Err)
+		}
+	}
+	pipe.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.ForceCheckpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

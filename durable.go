@@ -9,6 +9,7 @@ import (
 	"sdimm/internal/fault"
 	"sdimm/internal/flight"
 	"sdimm/internal/oram"
+	"sdimm/internal/rng"
 	isdimm "sdimm/internal/sdimm"
 )
 
@@ -35,8 +36,10 @@ type DurabilityOptions struct {
 	// Interval is the checkpoint cadence in committed accesses (default
 	// 256). Recovery replays at most this many journal records.
 	Interval int
-	// Sync fsyncs every commit. Off by default: the chaos harness simulates
-	// crashes by tearing the journal itself, and seeded sweeps stay fast.
+	// Sync fsyncs every commit, and the state directory at each checkpoint
+	// (after the rename and the journal rotation, before pruning). Off by
+	// default: the chaos harness simulates crashes by tearing the journal
+	// itself, and seeded sweeps stay fast.
 	Sync bool
 }
 
@@ -109,6 +112,11 @@ type durableState struct {
 	migrating    bool
 	incarnations []uint64 // per-slot join count (0 = founding member)
 	detached     []bool   // slots whose member was removed, not yet replaced
+
+	// ckpt is captureCheckpoint's scratch, reused so a checkpoint does not
+	// reallocate its per-member bucket lists. It holds borrowed bucket views
+	// only between capture and writeCheckpoint, which empties it.
+	ckpt durable.Checkpoint
 }
 
 // initElastic sets up the elastic-membership fields for members slots.
@@ -298,10 +306,14 @@ func memStore(b *isdimm.Buffer) *oram.MemStore {
 	return b.Engine().Store().(*oram.MemStore)
 }
 
-// captureMember snapshots one buffer (and its health record) into
-// checkpoint form.
-func captureMember(b *isdimm.Buffer, h *fault.Health) durable.MemberState {
-	m := durable.MemberState{
+// captureMember snapshots one buffer (and its health record) into m,
+// reusing m's bucket list. The sealed bucket bytes are borrowed views of
+// the store (MemStore.RawBucket), not copies: they stay valid while the
+// cluster is quiescent, which holds for the whole of WriteCheckpoint, and
+// the next access reseals them in place.
+func captureMember(m *durable.MemberState, b *isdimm.Buffer, h *fault.Health) {
+	buckets := m.Buckets[:0]
+	*m = durable.MemberState{
 		EngineRNG: b.Engine().RandState(),
 		BufferRNG: b.RandState(),
 		Stash:     captureBlocks(b.Engine().StashBlocks()),
@@ -311,8 +323,9 @@ func captureMember(b *isdimm.Buffer, h *fault.Health) durable.MemberState {
 	ms := memStore(b)
 	for _, idx := range ms.BucketIndices() {
 		raw, _ := ms.RawBucket(idx)
-		m.Buckets = append(m.Buckets, durable.BucketState{Idx: idx, Raw: raw})
+		buckets = append(buckets, durable.BucketState{Idx: idx, Raw: raw})
 	}
+	m.Buckets = buckets
 	succ, fail := h.Totals()
 	m.Health = durable.HealthState{
 		State:       int(h.State()),
@@ -320,7 +333,57 @@ func captureMember(b *isdimm.Buffer, h *fault.Health) durable.MemberState {
 		Successes:   succ,
 		Failures:    fail,
 	}
-	return m
+}
+
+// captureCheckpoint snapshots the state both cluster flavours share into
+// the reused checkpoint scratch: the coordinator RNG, position map, poison
+// set, record counters and drain, and per member its buffer, health,
+// incarnation and detached flag (members index-aligned with health). Call
+// it only with the cluster quiescent, and persist the result before the
+// next access: its bucket bytes are borrowed from the stores.
+func (d *durableState) captureCheckpoint(rnd *rng.Source, pos oram.PositionMap, members []*isdimm.Buffer, health []*fault.Health) *durable.Checkpoint {
+	cp := &d.ckpt
+	ms := cp.Members
+	if cap(ms) < len(members) {
+		ms = make([]durable.MemberState, len(members))
+	}
+	ms = ms[:len(members)]
+	*cp = durable.Checkpoint{
+		Seq:       d.seq,
+		RNG:       rnd.State(),
+		Positions: capturePositions(pos),
+		Poisoned:  capturePoisoned(d.poisoned),
+		MigSeq:    d.migSeq,
+		TopoSeq:   d.topoSeq,
+		Members:   ms,
+	}
+	if d.drainMember >= 0 {
+		cp.Drains = []durable.DrainState{{Member: uint64(d.drainMember), Moved: d.drainMoved}}
+	}
+	for i, b := range members {
+		captureMember(&ms[i], b, health[i])
+		ms[i].Incarnation = d.incarnations[i]
+		ms[i].Detached = d.detached[i]
+	}
+	return cp
+}
+
+// writeCheckpoint persists a captured checkpoint, rotating the journal.
+// Written or not, the scratch then lets go of the borrowed bucket views and
+// the captured state, keeping only the member and bucket lists' capacity
+// for the next capture.
+func (d *durableState) writeCheckpoint(cp *durable.Checkpoint) error {
+	err := d.dur.WriteCheckpoint(cp)
+	for i := range cp.Members {
+		clear(cp.Members[i].Buckets)
+		cp.Members[i] = durable.MemberState{Buckets: cp.Members[i].Buckets[:0]}
+	}
+	*cp = durable.Checkpoint{Members: cp.Members}
+	if err != nil {
+		return err
+	}
+	d.lastCkpt = d.seq
+	return nil
 }
 
 // restoreMember loads one buffer (and its health record) from checkpoint
@@ -355,34 +418,26 @@ func (c *Cluster) ForceCheckpoint() error {
 	if c.dur == nil {
 		return errors.New("sdimm: ForceCheckpoint without durability")
 	}
-	cp := &durable.Checkpoint{
-		Seq:       c.seq,
-		RNG:       c.rnd.State(),
-		Positions: capturePositions(c.pos),
-		Poisoned:  capturePoisoned(c.poisoned),
-		MigSeq:    c.migSeq,
-		TopoSeq:   c.topoSeq,
+	if err := c.writeCheckpoint(c.capture()); err != nil {
+		return err
 	}
-	if c.drainMember >= 0 {
-		cp.Drains = []durable.DrainState{{Member: uint64(c.drainMember), Moved: c.drainMoved}}
-	}
-	for i, b := range c.buffers {
-		m := captureMember(b, c.health[i])
+	c.tm.checkpoints.Inc()
+	c.flight.Coordinator().Record(flight.KindCheckpoint, c.seq, 0)
+	return nil
+}
+
+// capture snapshots the cluster into the checkpoint scratch: the shared
+// state plus each member's link counters.
+func (c *Cluster) capture() *durable.Checkpoint {
+	cp := c.captureCheckpoint(c.rnd, c.pos, c.buffers, c.health)
+	for i := range cp.Members {
+		m := &cp.Members[i]
 		m.HostSend = c.links[i].Host.SendCounter()
 		m.HostRecv = c.links[i].Host.RecvCounter()
 		m.DevSend = c.links[i].Dev.SendCounter()
 		m.DevRecv = c.links[i].Dev.RecvCounter()
-		m.Incarnation = c.incarnations[i]
-		m.Detached = c.detached[i]
-		cp.Members = append(cp.Members, m)
 	}
-	if err := c.dur.WriteCheckpoint(cp); err != nil {
-		return err
-	}
-	c.lastCkpt = c.seq
-	c.tm.checkpoints.Inc()
-	c.flight.Coordinator().Record(flight.KindCheckpoint, c.seq, 0)
-	return nil
+	return cp
 }
 
 // CorruptBucket flips a ciphertext bit in the k-th materialized bucket
@@ -657,23 +712,9 @@ func (c *SplitCluster) ForceCheckpoint() error {
 	if c.dur == nil {
 		return errors.New("sdimm: ForceCheckpoint without durability")
 	}
-	cp := &durable.Checkpoint{
-		Seq:       c.seq,
-		RNG:       c.rnd.State(),
-		Positions: capturePositions(c.pos),
-		Poisoned:  capturePoisoned(c.poisoned),
-		MigSeq:    c.migSeq,
-		TopoSeq:   c.topoSeq,
-	}
-	for i, b := range c.allMembers() {
-		m := captureMember(b, c.health[i])
-		m.Incarnation = c.incarnations[i]
-		cp.Members = append(cp.Members, m)
-	}
-	if err := c.dur.WriteCheckpoint(cp); err != nil {
+	if err := c.writeCheckpoint(c.captureCheckpoint(c.rnd, c.pos, c.allMembers(), c.health)); err != nil {
 		return err
 	}
-	c.lastCkpt = c.seq
 	c.tm.checkpoints.Inc()
 	return nil
 }

@@ -142,7 +142,7 @@ type Collector struct {
 	wallNS uint64
 
 	phaseNS [numPhases]uint64
-	idleNS  [numPhases]uint64     // measured all-idle, folded per phase
+	idleNS  [numPhases]uint64 // measured all-idle, folded per phase
 	busyNS  [numWorkerKinds]uint64
 
 	// The all-idle meter: active counts in-flight worker tasks; while it is

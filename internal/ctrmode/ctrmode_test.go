@@ -19,10 +19,10 @@ func TestMatchesStdlib(t *testing.T) {
 	}
 	ivs := [][16]byte{
 		{},
-		{15: 0xff},                     // carry into byte 14 after one block
-		{8: 0x00, 9: 0xff, 15: 0xff},   // multi-byte carry
-		{0: 0x01, 7: 0xff, 15: 0xfe},   // high half populated
-		{7: 0x12, 8: 0xff, 9: 0xff, 10: 0xff, 11: 0xff, 12: 0xff, 13: 0xff, 14: 0xff, 15: 0xff}, // 64-bit boundary carry
+		{15: 0xff},                   // carry into byte 14 after one block
+		{8: 0x00, 9: 0xff, 15: 0xff}, // multi-byte carry
+		{0: 0x01, 7: 0xff, 15: 0xfe}, // high half populated
+		{7: 0x12, 8: 0xff, 9: 0xff, 10: 0xff, 11: 0xff, 12: 0xff, 13: 0xff, 14: 0xff, 15: 0xff},                                                                // 64-bit boundary carry
 		{0: 0xff, 1: 0xff, 2: 0xff, 3: 0xff, 4: 0xff, 5: 0xff, 6: 0xff, 7: 0xff, 8: 0xff, 9: 0xff, 10: 0xff, 11: 0xff, 12: 0xff, 13: 0xff, 14: 0xff, 15: 0xff}, // full wraparound
 	}
 	r := rand.New(rand.NewSource(1))

@@ -40,3 +40,27 @@ func TestJournalAppendZeroAlloc(t *testing.T) {
 		t.Fatalf("Manager.Append allocates %.1f objects per record in steady state, want 0", allocs)
 	}
 }
+
+// TestCheckpointEncodeZeroAlloc is the allocation gate for checkpoint
+// encoding: once the manager's file image has grown to the checkpoint's
+// size, encoding and authenticating the next checkpoint into it allocates
+// nothing.
+func TestCheckpointEncodeZeroAlloc(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; alloc gates run without -race")
+	}
+	cp := testCheckpoint(9)
+	for i := uint64(1); i < 64; i++ {
+		cp.Members[0].Buckets = append(cp.Members[0].Buckets, BucketState{Idx: i, Raw: bytes.Repeat([]byte{byte(i)}, 40)})
+	}
+	enc := newCheckpointEncoder([]byte("alloc-gate-key"))
+	encode := func() {
+		if _, err := enc.encode(cp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	encode() // sizes the reused image
+	if allocs := testing.AllocsPerRun(100, encode); allocs != 0 {
+		t.Fatalf("checkpoint encode allocates %.1f objects per checkpoint in steady state, want 0", allocs)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 )
 
 // checkpointMagic identifies a checkpoint file (version 3: version 2 plus
@@ -43,6 +44,10 @@ type BlockState struct {
 // at-rest MACs intact so the recovery scrub can re-verify every bucket.
 type BucketState struct {
 	Idx uint64
+	// Raw is borrowed when the checkpoint is being written: capture hands
+	// over the store's own sealed bytes, valid only for the duration of
+	// WriteCheckpoint (the cluster is drained, and the next access reseals
+	// in place). A decoded checkpoint owns its Raw.
 	Raw []byte
 }
 
@@ -127,9 +132,44 @@ func (w *byteWriter) block(b BlockState) {
 	w.bytes(b.Data)
 }
 
-// encodeCheckpoint serializes and authenticates a checkpoint.
-func encodeCheckpoint(key []byte, cp *Checkpoint) []byte {
-	var w byteWriter
+// checkpointHeaderSize is the envelope before the body: magic plus the
+// body length.
+const checkpointHeaderSize = 8 + 8
+
+// Fixed encoded sizes of the body's parts: the size computation and the
+// decoder's allocation guards share them.
+const (
+	// FP, Seq, RNG, MigSeq, TopoSeq and the four top-level list counts.
+	cpFixedSize = 8 + 8 + 32 + 8 + 8 + 4*4
+	// Two RNG states, three list counts, health, four link counters,
+	// incarnation, the detached flag and the ring length prefix.
+	cpMemberSize = 32 + 32 + 3*4 + 2*4 + 2*8 + 4*8 + 8 + 1 + 4
+	cpBlockSize  = 8 + 8 + 4 // addr, leaf, payload length prefix
+	cpBucketSize = 8 + 4     // index, sealed-bytes length prefix
+)
+
+// checkpointBodySize returns the exact length encodeBody writes for cp, so
+// the file image is sized once and filled without growing.
+func checkpointBodySize(cp *Checkpoint) int {
+	n := cpFixedSize + 16*len(cp.Positions) + 8*len(cp.Poisoned) + 16*len(cp.Drains)
+	for i := range cp.Members {
+		m := &cp.Members[i]
+		n += cpMemberSize + len(m.Ring)
+		for _, b := range m.Stash {
+			n += cpBlockSize + len(b.Data)
+		}
+		for _, b := range m.Transfer {
+			n += cpBlockSize + len(b.Data)
+		}
+		for _, b := range m.Buckets {
+			n += cpBucketSize + len(b.Raw)
+		}
+	}
+	return n
+}
+
+// encodeBody appends cp's body encoding to w.
+func (w *byteWriter) encodeBody(cp *Checkpoint) {
 	w.b = append(w.b, cp.FP[:]...)
 	w.u64(cp.Seq)
 	w.rng(cp.RNG)
@@ -139,7 +179,8 @@ func encodeCheckpoint(key []byte, cp *Checkpoint) []byte {
 		w.u64(p.Value)
 	}
 	w.u32(uint32(len(cp.Members)))
-	for _, m := range cp.Members {
+	for i := range cp.Members {
+		m := &cp.Members[i]
 		w.rng(m.EngineRNG)
 		w.rng(m.BufferRNG)
 		w.u32(uint32(len(m.Stash)))
@@ -182,15 +223,43 @@ func encodeCheckpoint(key []byte, cp *Checkpoint) []byte {
 		w.u64(d.Member)
 		w.u64(d.Moved)
 	}
-	body := w.b
+}
 
-	out := make([]byte, 0, 8+8+len(body)+checkpointMACSize)
-	out = append(out, checkpointMagic...)
-	out = binary.BigEndian.AppendUint64(out, uint64(len(body)))
-	out = append(out, body...)
-	m := hmac.New(sha256.New, key)
-	m.Write(out)
-	return m.Sum(out)
+// checkpointEncoder builds checkpoint file images — magic ‖ body length ‖
+// body ‖ HMAC — in one buffer it reuses across checkpoints, keyed once.
+// Not safe for concurrent use.
+type checkpointEncoder struct {
+	mac hash.Hash
+	buf []byte
+}
+
+func newCheckpointEncoder(key []byte) *checkpointEncoder {
+	return &checkpointEncoder{mac: hmac.New(sha256.New, key)}
+}
+
+// encode returns the authenticated file image of cp. The image aliases the
+// encoder's buffer and is valid until the next encode.
+func (e *checkpointEncoder) encode(cp *Checkpoint) ([]byte, error) {
+	return e.encodeSized(cp, checkpointBodySize(cp))
+}
+
+// encodeSized encodes cp into an image sized for a body of bodyLen bytes.
+// A body that does not come out at exactly bodyLen is an error, never a
+// truncated or regrown file.
+func (e *checkpointEncoder) encodeSized(cp *Checkpoint, bodyLen int) ([]byte, error) {
+	total := checkpointHeaderSize + bodyLen + checkpointMACSize
+	if cap(e.buf) < total {
+		e.buf = make([]byte, 0, total)
+	}
+	w := byteWriter{b: append(e.buf[:0], checkpointMagic...)}
+	w.u64(uint64(bodyLen))
+	w.encodeBody(cp)
+	if got := len(w.b) - checkpointHeaderSize; got != bodyLen {
+		return nil, fmt.Errorf("durable: checkpoint body encoded to %d bytes, sized %d", got, bodyLen)
+	}
+	e.mac.Reset()
+	e.mac.Write(w.b)
+	return e.mac.Sum(w.b), nil
 }
 
 // --- decoding ---
@@ -275,7 +344,7 @@ func (r *byteReader) block() (BlockState, error) {
 }
 
 func (r *byteReader) blockList() ([]BlockState, error) {
-	n, err := r.count(8 + 8 + 4)
+	n, err := r.count(cpBlockSize)
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +361,7 @@ func (r *byteReader) blockList() ([]BlockState, error) {
 // truncation, trailing garbage, or MAC failure rejects the whole file —
 // recovery then falls back to the previous checkpoint.
 func decodeCheckpoint(key, data []byte) (*Checkpoint, error) {
-	if len(data) < 8+8+checkpointMACSize {
+	if len(data) < checkpointHeaderSize+checkpointMACSize {
 		return nil, errors.New("durable: checkpoint shorter than envelope")
 	}
 	if string(data[:8]) != checkpointMagic {
@@ -336,7 +405,7 @@ func decodeCheckpoint(key, data []byte) (*Checkpoint, error) {
 			return nil, err
 		}
 	}
-	nMem, err := r.count(32 + 32 + 3*4 + 2*4 + 2*8 + 4*8 + 8 + 1 + 4)
+	nMem, err := r.count(cpMemberSize)
 	if err != nil {
 		return nil, err
 	}
@@ -355,7 +424,7 @@ func decodeCheckpoint(key, data []byte) (*Checkpoint, error) {
 		if m.Transfer, err = r.blockList(); err != nil {
 			return nil, err
 		}
-		nBk, err := r.count(8 + 4)
+		nBk, err := r.count(cpBucketSize)
 		if err != nil {
 			return nil, err
 		}

@@ -34,8 +34,8 @@ func testCheckpoint(seq uint64) *Checkpoint {
 				Stash:     []BlockState{{Addr: 1, Leaf: 3, Data: []byte("stash-block")}},
 				Transfer:  []BlockState{{Addr: 5, Leaf: 0, Data: []byte("queued")}},
 				Buckets:   []BucketState{{Idx: 0, Raw: bytes.Repeat([]byte{0xab}, 40)}},
-				Health:      HealthState{State: 1, Consecutive: 2, Successes: 10, Failures: 3},
-				HostSend:    4, HostRecv: 4, DevSend: 4, DevRecv: 4,
+				Health:    HealthState{State: 1, Consecutive: 2, Successes: 10, Failures: 3},
+				HostSend:  4, HostRecv: 4, DevSend: 4, DevRecv: 4,
 				Incarnation: 2,
 				Detached:    true,
 			},
@@ -45,6 +45,16 @@ func testCheckpoint(seq uint64) *Checkpoint {
 		TopoSeq:  3,
 		Drains:   []DrainState{{Member: 1, Moved: 4}},
 	}
+}
+
+// encodeForTest returns cp's checkpoint file image in a fresh buffer.
+func encodeForTest(tb testing.TB, key []byte, cp *Checkpoint) []byte {
+	tb.Helper()
+	img, err := newCheckpointEncoder(key).encode(cp)
+	if err != nil {
+		tb.Fatalf("encode checkpoint: %v", err)
+	}
+	return img
 }
 
 func record(seq uint64, addr uint64, write bool, data []byte) Record {
@@ -59,7 +69,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	key := []byte("roundtrip-key")
 	cp := testCheckpoint(42)
 	cp.FP = testFP.Hash()
-	enc := encodeCheckpoint(key, cp)
+	enc := encodeForTest(t, key, cp)
 	got, err := decodeCheckpoint(key, enc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -73,7 +83,7 @@ func TestCheckpointRejectsTampering(t *testing.T) {
 	key := []byte("tamper-key")
 	cp := testCheckpoint(1)
 	cp.FP = testFP.Hash()
-	enc := encodeCheckpoint(key, cp)
+	enc := encodeForTest(t, key, cp)
 	for _, tc := range []struct {
 		name   string
 		mutate func([]byte) []byte
@@ -268,25 +278,39 @@ func TestFingerprintMismatchRejected(t *testing.T) {
 }
 
 func TestPruneKeepsFallback(t *testing.T) {
-	dir := t.TempDir()
-	m := testManager(t, dir)
-	for seq := uint64(0); seq <= 4; seq++ {
-		if err := m.WriteCheckpoint(testCheckpoint(seq)); err != nil {
-			t.Fatalf("WriteCheckpoint %d: %v", seq, err)
-		}
-	}
-	seqs, err := checkpointSeqs(dir)
-	if err != nil {
-		t.Fatalf("checkpointSeqs: %v", err)
-	}
-	if !reflect.DeepEqual(seqs, []uint64{3, 4}) {
-		t.Fatalf("kept checkpoints %v, want [3 4]", seqs)
-	}
-	ents, _ := os.ReadDir(dir)
-	for _, e := range ents {
-		var seq uint64
-		if n, _ := fmt.Sscanf(e.Name(), "journal-%016x.wal", &seq); n == 1 && seq < 3 {
-			t.Fatalf("stale journal %s survived pruning", e.Name())
-		}
+	for _, fsync := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fsync=%v", fsync), func(t *testing.T) {
+			dir := t.TempDir()
+			// Files left by an earlier run are pruned with the rest.
+			for _, stale := range []string{checkpointPath(dir, 3), journalPath(dir, 5)} {
+				if err := os.WriteFile(stale, []byte("stale"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m, err := Open(dir, []byte("durable-test-key"), testFP, 32, fsync)
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			defer m.Close()
+			for seq := uint64(10); seq <= 14; seq++ {
+				if err := m.WriteCheckpoint(testCheckpoint(seq)); err != nil {
+					t.Fatalf("WriteCheckpoint %d: %v", seq, err)
+				}
+			}
+			seqs, err := checkpointSeqs(dir)
+			if err != nil {
+				t.Fatalf("checkpointSeqs: %v", err)
+			}
+			if !reflect.DeepEqual(seqs, []uint64{13, 14}) {
+				t.Fatalf("kept checkpoints %v, want [13 14]", seqs)
+			}
+			ents, _ := os.ReadDir(dir)
+			for _, e := range ents {
+				var seq uint64
+				if n, _ := fmt.Sscanf(e.Name(), "journal-%016x.wal", &seq); n == 1 && seq < 13 {
+					t.Fatalf("stale journal %s survived pruning", e.Name())
+				}
+			}
+		})
 	}
 }

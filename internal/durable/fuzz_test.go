@@ -41,7 +41,7 @@ func FuzzJournalDecode(f *testing.F) {
 		Record{Seq: 13, Addr: 1, Kind: KindJoin},
 	)
 	f.Add(file)
-	f.Add(file[:len(file)-5])   // torn tail
+	f.Add(file[:len(file)-5])       // torn tail
 	f.Add(file[:journalHeaderSize]) // empty journal
 	f.Add([]byte{})
 
@@ -79,7 +79,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	key := []byte("fuzz-checkpoint-key")
 	cp := testCheckpoint(3)
 	cp.FP = testFP.Hash()
-	enc := encodeCheckpoint(key, cp)
+	enc := encodeForTest(f, key, cp)
 	f.Add(enc)
 	f.Add(enc[:len(enc)-1])
 	f.Add(enc[:20])
@@ -91,7 +91,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 			return
 		}
 		// Accepted input must be byte-identical to its canonical encoding.
-		if !bytes.Equal(encodeCheckpoint(key, got), data) {
+		if !bytes.Equal(encodeForTest(t, key, got), data) {
 			t.Fatal("decoder accepted a non-canonical checkpoint")
 		}
 	})

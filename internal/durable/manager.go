@@ -77,6 +77,7 @@ type Manager struct {
 	crashed    bool
 
 	recBuf []byte // reusable encoded-record scratch (body + chain tag)
+	cpEnc  *checkpointEncoder
 }
 
 // Open attaches a manager to dir, creating it if needed. key authenticates
@@ -96,6 +97,7 @@ func Open(dir string, key []byte, fp Fingerprint, blockSize int, fsync bool) (*M
 		blockSize:  blockSize,
 		fsync:      fsync,
 		crashAfter: -1,
+		cpEnc:      newCheckpointEncoder(key),
 	}, nil
 }
 
@@ -144,6 +146,12 @@ func (m *Manager) LastSeq() uint64 {
 // WriteCheckpoint atomically persists cp, rotates the journal to a fresh
 // file based at cp.Seq, and prunes files made redundant. On return the
 // checkpoint alone reproduces all state up to and including access cp.Seq.
+//
+// cp is only read, and only until WriteCheckpoint returns: its slices (the
+// sealed bucket bytes above all) may borrow the caller's live state. In
+// fsync mode the directory is synced after the checkpoint rename and again
+// after the rotated journal is created, both before prune unlinks the
+// fallback, so a power loss can never keep an unlink and lose the rename.
 func (m *Manager) WriteCheckpoint(cp *Checkpoint) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -151,13 +159,19 @@ func (m *Manager) WriteCheckpoint(cp *Checkpoint) error {
 		return ErrCrashed
 	}
 	cp.FP = m.fp
-	enc := encodeCheckpoint(m.key, cp)
+	enc, err := m.cpEnc.encode(cp)
+	if err != nil {
+		return err
+	}
 	final := checkpointPath(m.dir, cp.Seq)
 	tmp := final + ".tmp"
 	if err := m.writeFile(tmp, enc); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, final); err != nil {
+		return fmt.Errorf("durable: publish checkpoint: %w", err)
+	}
+	if err := m.syncDir(); err != nil {
 		return fmt.Errorf("durable: publish checkpoint: %w", err)
 	}
 
@@ -180,6 +194,10 @@ func (m *Manager) WriteCheckpoint(cp *Checkpoint) error {
 			jf.Close()
 			return fmt.Errorf("durable: sync journal header: %w", err)
 		}
+	}
+	if err := m.syncDir(); err != nil {
+		jf.Close()
+		return fmt.Errorf("durable: create journal: %w", err)
 	}
 	m.jf = jf
 	m.chain = integrity.NewChain(m.key, mac)
@@ -216,6 +234,23 @@ func (m *Manager) prune(newest uint64) {
 			os.Remove(filepath.Join(m.dir, e.Name()))
 		}
 	}
+}
+
+// syncDir makes the directory's entries durable in fsync mode: a rename or
+// create is not on stable storage until its directory is synced.
+func (m *Manager) syncDir() error {
+	if !m.fsync {
+		return nil
+	}
+	d, err := os.Open(m.dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // writeFile writes data to path, syncing when the manager is in fsync mode.

@@ -6,7 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sdimm/internal/ctrmode"
 	"sdimm/internal/integrity"
@@ -156,6 +156,9 @@ type MemStore struct {
 	buckets    map[uint64][]byte // idx -> counter || ciphertext || tag
 	writes     uint64            // physical bucket seals (see Writes)
 
+	// sorted caches BucketIndices; nil once a new bucket materializes.
+	sorted []uint64
+
 	// Reusable scratch: CTR stream state, IV, and the plaintext staging
 	// buffer shared by ReadBucketInto (decode) and PutBucketAt (encode).
 	stream ctrmode.Stream
@@ -293,6 +296,9 @@ func (s *MemStore) PutBucketAt(idx uint64, b Bucket, counter uint64) error {
 	// (shape-determined) size for the life of the bucket.
 	rawSize := 8 + len(pt) + integrity.TagSize
 	raw, ok := s.buckets[idx]
+	if !ok {
+		s.sorted = nil
+	}
 	if !ok || len(raw) != rawSize {
 		raw = make([]byte, rawSize)
 	}
@@ -313,26 +319,33 @@ func (s *MemStore) Writes() uint64 { return s.writes }
 
 // BucketIndices returns the indices of every bucket ever written, sorted
 // ascending. Checkpoint capture and the recovery scrub pass iterate it so
-// their work (and any RNG-free repair decisions) is deterministic.
+// their work (and any RNG-free repair decisions) is deterministic. The
+// sorted order is cached until a new bucket materializes, so every
+// checkpoint after the tree fills reuses it; the returned slice is shared
+// and must not be modified (a later rebuild allocates a fresh one, so a
+// caller's view never changes under it).
 func (s *MemStore) BucketIndices() []uint64 {
-	idxs := make([]uint64, 0, len(s.buckets))
-	for idx := range s.buckets {
-		idxs = append(idxs, idx)
+	if s.sorted == nil {
+		idxs := make([]uint64, 0, len(s.buckets))
+		for idx := range s.buckets {
+			idxs = append(idxs, idx)
+		}
+		slices.Sort(idxs)
+		s.sorted = idxs
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	return idxs
+	return s.sorted
 }
 
-// RawBucket returns a copy of the sealed on-"DRAM" bytes of a bucket
-// (counter || ciphertext || tag) and whether the bucket exists. Checkpoints
-// persist the sealed form verbatim so a restore is bit-exact and the
-// stored MACs keep protecting the payload at rest.
+// RawBucket returns the sealed on-"DRAM" bytes of a bucket (counter ||
+// ciphertext || tag) and whether the bucket exists. Checkpoints persist the
+// sealed form verbatim so a restore is bit-exact and the stored MACs keep
+// protecting the payload at rest. The slice aliases the store, not a copy:
+// the next write of the bucket reseals it in place, so checkpoint capture
+// borrows buckets only while the cluster is quiescent and reads them only
+// until the checkpoint is written.
 func (s *MemStore) RawBucket(idx uint64) ([]byte, bool) {
 	raw, ok := s.buckets[idx]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), raw...), true
+	return raw, ok
 }
 
 // RestoreRaw installs sealed bucket bytes captured by RawBucket. Only the
@@ -342,6 +355,9 @@ func (s *MemStore) RestoreRaw(idx uint64, raw []byte) error {
 	want := 8 + s.plainSize() + integrity.TagSize
 	if len(raw) != want {
 		return fmt.Errorf("oram: restored bucket %d is %d bytes, want %d", idx, len(raw), want)
+	}
+	if _, ok := s.buckets[idx]; !ok {
+		s.sorted = nil
 	}
 	s.buckets[idx] = append([]byte(nil), raw...)
 	return nil

@@ -3,6 +3,7 @@ package oram
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -142,6 +143,37 @@ func TestMemStoreCiphertextChangesEveryWrite(t *testing.T) {
 	c2 := s.buckets[7]
 	if bytes.Equal(c1[8:], c2[8:]) {
 		t.Fatal("identical plaintext re-encrypted identically (pad reuse)")
+	}
+}
+
+// TestMemStoreBucketIndicesCache checks the cached sorted order: it gains
+// every bucket that materializes (by write or by restore), rewrites of an
+// existing bucket keep it, and a slice handed out earlier never changes.
+func TestMemStoreBucketIndicesCache(t *testing.T) {
+	s, _ := NewMemStore(4, 64, []byte("k"))
+	for _, idx := range []uint64{9, 2, 5} {
+		if err := s.WriteBucket(idx, NewBucket(4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := s.BucketIndices()
+	if want := []uint64{2, 5, 9}; !slices.Equal(first, want) {
+		t.Fatalf("indices %v, want %v", first, want)
+	}
+	s.WriteBucket(5, NewBucket(4))
+	if got := s.BucketIndices(); &got[0] != &first[0] {
+		t.Fatal("rewriting an existing bucket rebuilt the sorted order")
+	}
+	s.WriteBucket(7, NewBucket(4))
+	raw, _ := s.RawBucket(9)
+	if err := s.RestoreRaw(1, raw); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.BucketIndices(), []uint64{1, 2, 5, 7, 9}; !slices.Equal(got, want) {
+		t.Fatalf("indices after materializing 7 and restoring 1: %v, want %v", got, want)
+	}
+	if !slices.Equal(first, []uint64{2, 5, 9}) {
+		t.Fatalf("earlier result changed under its holder: %v", first)
 	}
 }
 

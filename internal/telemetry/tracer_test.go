@@ -86,13 +86,13 @@ func TestNilTracerIsSafe(t *testing.T) {
 
 func TestValidateTraceRejects(t *testing.T) {
 	cases := map[string]string{
-		"not json":      `[{]`,
-		"no array":      `{"foo": 1}`,
-		"missing name":  `{"traceEvents":[{"ph":"X","ts":1}]}`,
-		"bad phase":     `{"traceEvents":[{"name":"a","ph":"Z","ts":1}]}`,
-		"missing ts":    `{"traceEvents":[{"name":"a","ph":"X"}]}`,
-		"negative dur":  `{"traceEvents":[{"name":"a","ph":"X","ts":1,"dur":-5}]}`,
-		"string ts":     `{"traceEvents":[{"name":"a","ph":"X","ts":"now"}]}`,
+		"not json":     `[{]`,
+		"no array":     `{"foo": 1}`,
+		"missing name": `{"traceEvents":[{"ph":"X","ts":1}]}`,
+		"bad phase":    `{"traceEvents":[{"name":"a","ph":"Z","ts":1}]}`,
+		"missing ts":   `{"traceEvents":[{"name":"a","ph":"X"}]}`,
+		"negative dur": `{"traceEvents":[{"name":"a","ph":"X","ts":1,"dur":-5}]}`,
+		"string ts":    `{"traceEvents":[{"name":"a","ph":"X","ts":"now"}]}`,
 	}
 	for what, data := range cases {
 		if _, err := ValidateTrace([]byte(data)); err == nil {
